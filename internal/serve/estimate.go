@@ -112,17 +112,13 @@ func answerSource(outcome string) string {
 
 // ingestTrace files a freshly recorded trace in the library together
 // with its measured baseline Result, so the neighborhood becomes
-// estimable, not just replayable. Ingest failures are the operator's
-// problem (a full disk), never the requester's.
-func (s *Server) ingestTrace(app, key string, spec hybridmem.RunSpec, res hybridmem.Result, data []byte) {
+// estimable, not just replayable.
+func (s *Server) ingestTrace(key string, spec hybridmem.RunSpec, res hybridmem.Result, data []byte) error {
 	base, err := estimate.EncodeBase(key, spec, res)
-	if err != nil {
-		s.log.Error("trace baseline encoding failed", "app", app, "err", err)
-		base = nil
+	if err == nil {
+		_, err = s.lib.PutWithBase(data, base)
 	}
-	if _, err := s.lib.PutWithBase(data, base); err != nil {
-		s.log.Error("trace library ingest failed", "app", app, "err", err)
-	}
+	return err
 }
 
 // validateRingSize bounds how many recently estimated specs the drift
@@ -253,7 +249,7 @@ func (v *driftValidator) validateOnce(ctx context.Context) error {
 	}
 	// The live run takes a normal admission slot: validation yields to
 	// client traffic rather than competing unaccounted.
-	release, err := v.s.adm.Acquire(ctx)
+	release, err := v.s.admit(ctx, nil)
 	if err != nil {
 		return err
 	}
@@ -270,12 +266,8 @@ func (v *driftValidator) validateOnce(ctx context.Context) error {
 	v.drift.Observe(drift)
 	v.validations.Add(1)
 	if drift > estimate.Tolerance {
-		base, berr := estimate.EncodeBase(t.key, spec, live)
-		if berr != nil {
-			return berr
-		}
-		if _, perr := v.s.lib.PutWithBase(trc.Bytes(), base); perr != nil {
-			return perr
+		if err := v.s.ingestTrace(t.key, spec, live, trc.Bytes()); err != nil {
+			return err
 		}
 		v.refreshes.Add(1)
 		v.s.log.Warn("estimate drifted past tolerance; library trace refreshed",

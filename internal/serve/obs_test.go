@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -238,6 +239,42 @@ func TestSpansEndpoint(t *testing.T) {
 	bad.Body.Close()
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Errorf("limit=x -> %d, want 400", bad.StatusCode)
+	}
+}
+
+// TestTraceJoinsCallerTrace: GET /v1/trace honours a client's
+// traceparent like /v1/run does — its "trace" lifecycle span continues
+// the caller's trace, parented to the caller's span.
+func TestTraceJoinsCallerTrace(t *testing.T) {
+	_, ts := newTestServer(t)
+	const traceID, parentID = "4bf92f3577b34da6a3ce929d0e0e4736", "00f067aa0ba902b7"
+	req, err := http.NewRequest("GET", ts.URL+"/v1/trace?app=lusearch&collector=KG-N&policy=write-threshold", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("traceparent", "00-"+traceID+"-"+parentID+"-01")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace = %d", resp.StatusCode)
+	}
+
+	var span *obs.SpanRecord
+	for _, sp := range getSpans(t, ts.URL) {
+		if sp.Name == "trace" {
+			span = &sp
+		}
+	}
+	if span == nil {
+		t.Fatal("no trace span recorded")
+	}
+	if span.Trace != traceID || span.Parent != parentID {
+		t.Errorf("trace span in trace %s under %s, want trace %s under %s",
+			span.Trace, span.Parent, traceID, parentID)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 )
 
 // HTTP surface of the flight recorder (registry.go): the run listing,
@@ -16,65 +15,16 @@ import (
 // shape as /v1/results, with total counting every match.
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	filters := []func(RunInfo) bool{}
-	if app := q.Get("app"); app != "" {
-		filters = append(filters, func(info RunInfo) bool { return info.App == app })
+	app, kind, state, key, trace := q.Get("app"), q.Get("kind"), q.Get("state"), q.Get("key"), q.Get("trace")
+	runs, total, offset, err := paged(q, s.runs.List, func(info RunInfo) bool {
+		return wants(app, info.App) && wants(kind, info.Kind) && wants(state, string(info.State)) &&
+			wants(key, info.Key) && wants(trace, info.Trace)
+	})
+	if err != nil {
+		fail(w, http.StatusBadRequest, err)
+		return
 	}
-	if kind := q.Get("kind"); kind != "" {
-		filters = append(filters, func(info RunInfo) bool { return info.Kind == kind })
-	}
-	if state := q.Get("state"); state != "" {
-		filters = append(filters, func(info RunInfo) bool { return string(info.State) == state })
-	}
-	if key := q.Get("key"); key != "" {
-		filters = append(filters, func(info RunInfo) bool { return info.Key == key })
-	}
-	if trace := q.Get("trace"); trace != "" {
-		filters = append(filters, func(info RunInfo) bool { return info.Trace == trace })
-	}
-	limit, offset := -1, 0
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			fail(w, http.StatusBadRequest, fmt.Errorf("%w: limit must be a non-negative integer, got %q", errBadRequest, v))
-			return
-		}
-		limit = n
-	}
-	if v := q.Get("offset"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			fail(w, http.StatusBadRequest, fmt.Errorf("%w: offset must be a non-negative integer, got %q", errBadRequest, v))
-			return
-		}
-		offset = n
-	}
-	var match func(RunInfo) bool
-	if len(filters) > 0 {
-		match = func(info RunInfo) bool {
-			for _, f := range filters {
-				if !f(info) {
-					return false
-				}
-			}
-			return true
-		}
-	}
-	runs := s.runs.List(match)
-	total := len(runs)
-	if offset >= len(runs) {
-		runs = nil
-	} else {
-		runs = runs[offset:]
-	}
-	if limit >= 0 && limit < len(runs) {
-		runs = runs[:limit]
-	}
-	if runs == nil {
-		runs = []RunInfo{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
+	writeJSON(w, http.StatusOK, struct {
 		Count  int       `json:"count"`
 		Total  int       `json:"total"`
 		Offset int       `json:"offset"`
@@ -93,8 +43,7 @@ func (s *Server) handleRunDetail(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusNotFound, fmt.Errorf("run %q not found (the recent-runs ring is bounded)", id))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
+	writeJSON(w, http.StatusOK, struct {
 		Run    RunInfo    `json:"run"`
 		Events []RunEvent `json:"events"`
 	}{Run: info, Events: events})
@@ -113,18 +62,9 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(ev RunEvent) {
-		enc.Encode(ev)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	enc := json.NewEncoder(ndjson(w))
 	for _, ev := range history {
-		emit(ev)
+		enc.Encode(ev)
 	}
 	if live == nil {
 		return
@@ -135,7 +75,7 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return
 			}
-			emit(ev)
+			enc.Encode(ev)
 		case <-r.Context().Done():
 			return
 		}

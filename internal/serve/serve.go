@@ -50,6 +50,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -129,10 +130,10 @@ type Server struct {
 	runs     *RunRegistry     // the node's flight recorder
 	lib      *library.Library // nil = no trace library
 	probe    *http.Client     // fleet-status fan-out probe
-	runSec   *obs.Histogram   // /v1/run request latency
-	sweepSec *obs.Histogram   // /v1/sweep request latency
-	inflight atomic.Int64
 	requests atomic.Uint64
+
+	// latency is the request-latency histogram per lifecycle kind.
+	latency map[string]*obs.Histogram
 
 	// Trace-library counters: requests answered from a resident trace
 	// vs requests that fell through to a live emulation.
@@ -212,10 +213,12 @@ func New(p *hybridmem.Platform, cfg Config) (*Server, error) {
 	s := &Server{p: p, adm: jobs.NewAdmission(n, q), fab: cfg.Fabric, node: node, mux: http.NewServeMux(), tel: tel, log: logger,
 		runs: runs, lib: cfg.TraceLibrary, probe: &http.Client{Timeout: statusProbeTimeout}}
 	lbl := obs.Labels{"node": node}
-	s.runSec = reg.Histogram("hybridserved_run_seconds",
-		"Latency of /v1/run requests (including forwards).", lbl, nil)
-	s.sweepSec = reg.Histogram("hybridserved_sweep_seconds",
-		"Latency of whole /v1/sweep requests.", lbl, nil)
+	s.latency = map[string]*obs.Histogram{
+		"run": reg.Histogram("hybridserved_run_seconds",
+			"Latency of /v1/run requests (including forwards).", lbl, nil),
+		"sweep": reg.Histogram("hybridserved_sweep_seconds",
+			"Latency of whole /v1/sweep requests.", lbl, nil),
+	}
 	s.adm.SetWaitObserver(reg.Histogram("hybridserved_admission_wait_seconds",
 		"Time queued requests waited for an in-flight slot.", lbl, nil))
 	if s.fab != nil {
@@ -275,7 +278,7 @@ func (s *Server) registerMetrics(reg *obs.Registry, lbl obs.Labels) {
 			func() float64 { return float64(st.Stats().Bytes) })
 	}
 	gauge("hybridserved_inflight_runs", "Platform runs currently executing.",
-		func() float64 { return float64(max(s.inflight.Load(), 0)) })
+		func() float64 { inflight, _ := s.adm.Depth(); return float64(inflight) })
 	gauge("hybridserved_queue_depth", "Requests waiting for an in-flight slot.",
 		func() float64 { _, queued := s.adm.Depth(); return float64(queued) })
 	counter("hybridserved_rejected_total", "Requests shed with 429 by admission control.",
@@ -315,9 +318,6 @@ func (s *Server) registerMetrics(reg *obs.Registry, lbl obs.Labels) {
 	obs.RegisterGoRuntime(reg, lbl)
 }
 
-// Node returns the server's node label.
-func (s *Server) Node() string { return s.node }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
@@ -345,6 +345,19 @@ type RunRequest struct {
 // errBadRequest marks client mistakes beyond the hybridmem typed
 // errors (e.g. a negative instance count).
 var errBadRequest = errors.New("bad request")
+
+// parseAll parses every name of a request list.
+func parseAll[T any](names []string, parse func(string) (T, error)) ([]T, error) {
+	out := make([]T, len(names))
+	for i, name := range names {
+		v, err := parse(name)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
 
 // resolve parses a request into a spec and the platform variant to
 // run it on.
@@ -406,19 +419,32 @@ func httpStatus(err error) int {
 			return http.StatusBadRequest
 		}
 	}
-	if errors.Is(err, errNoEstimate) {
-		// answer=estimate on a spec the library cannot answer: the
-		// resource (a resident trace within tolerance) does not exist.
+	switch {
+	case errors.Is(err, errNoEstimate), errors.Is(err, library.ErrNotFound):
+		// answer=estimate or source=library with no resident trace to
+		// answer from: the resource does not exist.
 		return http.StatusNotFound
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		// Abandoned while queued for a slot or while running.
+		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
 }
 
-// fail writes a JSON error response.
+// fail writes a JSON error response; admission rejection is 429.
 func fail(w http.ResponseWriter, code int, err error) {
+	if errors.Is(err, jobs.ErrOverloaded) {
+		w.Header().Set("Retry-After", "1")
+		code = http.StatusTooManyRequests
+	}
+	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// writeJSON answers code with v as a JSON document.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	json.NewEncoder(w).Encode(v)
 }
 
 // record packages a finished run as the wire/disk Record.
@@ -429,6 +455,67 @@ func record(p *hybridmem.Platform, spec hybridmem.RunSpec, res hybridmem.Result)
 		return store.Record{}, err
 	}
 	return store.Record{V: store.RecordVersion, Key: key, Sum: sum, Spec: spec, Result: res}, nil
+}
+
+// lifecycle is one request's (or sweep cell's) span and run record.
+type lifecycle struct {
+	*RunHandle
+	sp    *obs.Span
+	sec   *obs.Histogram // the kind's request latency, if it has one
+	start time.Time
+}
+
+// begin opens a span named kind with attrs (key, value pairs) under
+// r's traceparent (a sweep cell's nil r nests it under the sweep), and
+// a record keyed by the span ID the emulator core reports progress to.
+func (s *Server) begin(ctx context.Context, r *http.Request, kind, app, key string, attrs ...string) (context.Context, *lifecycle) {
+	lc := &lifecycle{start: time.Now()}
+	origin := ""
+	if r != nil {
+		if sc, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
+			ctx = obs.ContextWithRemote(ctx, sc)
+		}
+		origin = r.Header.Get(fabric.ForwardHeader)
+		lc.sec = s.latency[kind]
+	}
+	ctx, lc.sp = s.tel.Tracer.Start(ctx, kind)
+	for i := 0; i+1 < len(attrs); i += 2 {
+		lc.sp.SetAttr(attrs[i], attrs[i+1])
+	}
+	sc := lc.sp.Context()
+	lc.RunHandle = s.runs.Begin(kind, app, key, sc.TraceID, sc.SpanID, origin)
+	return ctx, lc
+}
+
+// end closes the span (tagged with err), the record and the latency.
+func (lc *lifecycle) end(outcome string, err error) {
+	if err != nil {
+		lc.sp.SetAttr("error", err.Error())
+		outcome = ""
+	}
+	lc.sp.End()
+	lc.Finish(outcome, err)
+	lc.sec.Observe(time.Since(lc.start).Seconds())
+}
+
+// admit takes a slot for work that computes; h may be nil.
+func (s *Server) admit(ctx context.Context, h *RunHandle) (release func(), err error) {
+	release, err = s.adm.Acquire(ctx)
+	if err == nil {
+		h.Transition(RunAdmitted, "")
+	}
+	return release, err
+}
+
+// served packages a local answer, counting non-computes as coalesced.
+func (s *Server) served(p *hybridmem.Platform, spec hybridmem.RunSpec, res hybridmem.Result, computed bool) (store.Record, string, error) {
+	outcome := OutcomeComputed
+	if !computed {
+		s.coalesced.Add(1)
+		outcome = OutcomeCoalesced
+	}
+	rec, err := record(p, spec, res)
+	return rec, outcome, err
 }
 
 // runLocal executes one spec on this node. Already-available results
@@ -442,58 +529,33 @@ func record(p *hybridmem.Platform, spec hybridmem.RunSpec, res hybridmem.Result)
 // race between them resolves.
 //
 // The flight-recorder handle h tracks the run's lifecycle; the
-// returned outcome string is what the caller passes to h.Finish.
+// returned outcome string is what the caller finishes it with.
 func (s *Server) runLocal(ctx context.Context, h *RunHandle, p *hybridmem.Platform, spec hybridmem.RunSpec) (store.Record, string, error) {
-	parent := obs.SpanContextFrom(ctx)
 	lookupStart := time.Now()
-	if res, ok := p.Peek(spec); ok {
-		s.tel.Tracer.Emit(parent, "cache.lookup", lookupStart, time.Since(lookupStart),
-			map[string]string{"hit": "true"})
-		s.coalesced.Add(1)
-		rec, err := record(p, spec, res)
-		return rec, OutcomeCoalesced, err
+	res, ok := p.Peek(spec)
+	s.tel.Tracer.Emit(obs.SpanContextFrom(ctx), "cache.lookup", lookupStart, time.Since(lookupStart),
+		map[string]string{"hit": strconv.FormatBool(ok)})
+	if ok {
+		return s.served(p, spec, res, false)
 	}
-	s.tel.Tracer.Emit(parent, "cache.lookup", lookupStart, time.Since(lookupStart),
-		map[string]string{"hit": "false"})
 	if p.Joinable(spec) {
 		// The compute's slot is held by the request that started it.
 		h.Transition(RunLocal, "joining in-flight run")
-		res, computed, err := p.RunShared(ctx, spec)
+	} else {
+		release, err := s.admit(ctx, h)
 		if err != nil {
 			return store.Record{}, "", err
 		}
-		outcome := OutcomeComputed
-		if !computed {
-			s.coalesced.Add(1)
-			outcome = OutcomeCoalesced
-		}
-		rec, err := record(p, spec, res)
-		return rec, outcome, err
+		defer release()
+		h.Transition(RunLocal, "")
 	}
-	release, err := s.adm.Acquire(ctx)
-	if err != nil {
-		return store.Record{}, "", err
-	}
-	h.Transition(RunAdmitted, "")
-	s.inflight.Add(1)
-	defer func() {
-		s.inflight.Add(-1)
-		release()
-	}()
-	h.Transition(RunLocal, "")
+	// Not computed: a join, or a lost Peek/Joinable race to an
+	// identical request whose compute the single-flight group served.
 	res, computed, err := p.RunShared(ctx, spec)
 	if err != nil {
 		return store.Record{}, "", err
 	}
-	outcome := OutcomeComputed
-	if !computed {
-		// Lost the Peek/Joinable race to an identical request: the
-		// single-flight group served us its compute.
-		s.coalesced.Add(1)
-		outcome = OutcomeCoalesced
-	}
-	rec, err := record(p, spec, res)
-	return rec, outcome, err
+	return s.served(p, spec, res, computed)
 }
 
 // dispatch routes one run to the node owning its canonical key. Without
@@ -513,9 +575,7 @@ func (s *Server) dispatch(ctx context.Context, h *RunHandle, forwardedIn bool, p
 	// A locally known result needs no network hop, wherever the key
 	// lives on the ring.
 	if res, ok := p.Peek(spec); ok {
-		s.coalesced.Add(1)
-		rec, err := record(p, spec, res)
-		return rec, OutcomeCoalesced, err
+		return s.served(p, spec, res, false)
 	}
 	body, err := json.Marshal(wire)
 	if err != nil {
@@ -530,48 +590,54 @@ func (s *Server) dispatch(ctx context.Context, h *RunHandle, forwardedIn bool, p
 	fctx, fsp := s.tel.Tracer.Start(ctx, "fabric.forward")
 	fsp.SetAttr("owner", owner)
 	resp, err := s.fab.Forward(fctx, owner, body)
-	if err != nil {
-		fsp.SetAttr("outcome", "transport-error")
-		fsp.End()
-		if ctx.Err() != nil {
-			return store.Record{}, "", ctx.Err()
-		}
-		s.degraded.Add(1)
-		h.Degraded()
-		s.log.Warn("forward degraded to local run", "owner", owner, "key", p.SpecKey(spec), "err", err)
-		return s.runLocal(ctx, h, p, spec)
-	}
-	fsp.SetAttr("status", strconv.Itoa(resp.Status))
-	fsp.End()
-	if resp.Status != http.StatusOK {
-		// The owner answered but would not serve (overloaded, draining,
-		// mid-upgrade): this node already validated the request, so run
-		// it here under its own admission control instead.
-		s.degraded.Add(1)
-		h.Degraded()
-		s.log.Warn("owner refused forward; running locally", "owner", owner, "status", resp.Status)
-		return s.runLocal(ctx, h, p, spec)
-	}
 	var rec store.Record
-	if err := json.Unmarshal(resp.Body, &rec); err != nil {
-		s.degraded.Add(1)
-		h.Degraded()
-		s.log.Warn("torn forward response; running locally", "owner", owner, "err", err)
-		return s.runLocal(ctx, h, p, spec)
+	switch {
+	case err != nil:
+		fsp.SetAttr("outcome", "transport-error")
+	case resp.Status != http.StatusOK:
+		// The owner answered but would not serve (overloaded, draining,
+		// mid-upgrade): this node already validated the request, so it
+		// runs it under its own admission control instead.
+		err = fmt.Errorf("owner refused forward: %s", http.StatusText(resp.Status))
+	default:
+		err = json.Unmarshal(resp.Body, &rec) // a torn body degrades too
 	}
-	s.forwarded.Add(1)
-	return rec, OutcomeForwarded, nil
+	if resp != nil {
+		fsp.SetAttr("status", strconv.Itoa(resp.Status))
+	}
+	fsp.End()
+	if err == nil {
+		s.forwarded.Add(1)
+		return rec, OutcomeForwarded, nil
+	}
+	if ctx.Err() != nil {
+		return store.Record{}, "", ctx.Err()
+	}
+	s.degraded.Add(1)
+	h.Degraded()
+	s.log.Warn("forward degraded to local run", "owner", owner, "key", p.SpecKey(spec), "err", err)
+	return s.runLocal(ctx, h, p, spec)
 }
 
-// failRun maps a run error onto the wire, translating admission
-// rejection into 429 + Retry-After.
-func (s *Server) failRun(w http.ResponseWriter, err error) {
-	if errors.Is(err, jobs.ErrOverloaded) {
-		w.Header().Set("Retry-After", "1")
-		fail(w, http.StatusTooManyRequests, err)
-		return
+// serveRun answers a /v1/run request r, or a sweep cell (nil r).
+func (s *Server) serveRun(ctx context.Context, r *http.Request, mode string, p *hybridmem.Platform, spec hybridmem.RunSpec, wire RunRequest, attrs ...string) (store.Record, string, error) {
+	key := p.SpecKey(spec)
+	forwardedIn := r != nil && r.Header.Get(fabric.ForwardHeader) != ""
+	attrs = append([]string{"app", spec.AppName, "key", key}, attrs...)
+	if forwardedIn {
+		attrs = append(attrs, "forwarded", "true")
 	}
-	fail(w, httpStatus(err), err)
+	ctx, lc := s.begin(ctx, r, "run", spec.AppName, key, attrs...)
+	rec, outcome, err := s.answer(ctx, lc.RunHandle, mode, forwardedIn, p, spec, wire)
+	lc.end(outcome, err)
+	trace := lc.sp.Context().TraceID
+	if err != nil {
+		s.log.Warn("run failed", "app", spec.AppName, "key", key, "trace", trace, "err", err)
+	} else {
+		s.log.Debug("run served", "app", spec.AppName, "key", key, "trace", trace,
+			"source", answerSource(outcome), "seconds", time.Since(lc.start).Seconds())
+	}
+	return rec, outcome, err
 }
 
 // handleRun serves POST /v1/run: one experiment, responded to as the
@@ -581,61 +647,28 @@ func (s *Server) failRun(w http.ResponseWriter, err error) {
 // distributed trace: entry-node dispatch, owner-node execution, and
 // the engine's per-quantum work, all under a single trace id.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	var req RunRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	spec, p, err := s.resolve(req)
+	if err == nil {
+		// The resolved mode rides in the body on forwards, where query
+		// parameters do not travel.
+		req.Answer, err = answerMode(r.URL.Query().Get("answer"), req.Answer)
+	}
+	var rec store.Record
+	var outcome string
+	if err == nil {
+		rec, outcome, err = s.serveRun(r.Context(), r, req.Answer, p, spec, req)
+	}
 	if err != nil {
 		fail(w, httpStatus(err), err)
 		return
 	}
-	mode, err := answerMode(r.URL.Query().Get("answer"), req.Answer)
-	if err != nil {
-		fail(w, httpStatus(err), err)
-		return
-	}
-	// The resolved mode rides in the body on forwards, where query
-	// parameters do not travel.
-	req.Answer = mode
-	ctx := r.Context()
-	if sc, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-		ctx = obs.ContextWithRemote(ctx, sc)
-	}
-	key := p.SpecKey(spec)
-	forwardedIn := r.Header.Get(fabric.ForwardHeader) != ""
-	ctx, sp := s.tel.Tracer.Start(ctx, "run")
-	sp.SetAttr("app", spec.AppName)
-	sp.SetAttr("key", key)
-	if forwardedIn {
-		sp.SetAttr("forwarded", "true")
-	}
-	// The flight recorder keys the run's record by the serve span's ID:
-	// that is the ObsParent the emulator core reports progress under,
-	// so emulating/quantum callbacks route straight to this record.
-	h := s.runs.Begin("run", spec.AppName, key, sp.Context().TraceID, sp.Context().SpanID,
-		r.Header.Get(fabric.ForwardHeader))
-	rec, outcome, err := s.answer(ctx, h, mode, forwardedIn, p, spec, req)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-	}
-	sp.End()
-	h.Finish(outcome, err)
-	s.runSec.Observe(time.Since(start).Seconds())
-	if err != nil {
-		s.log.Warn("run failed", "app", spec.AppName, "key", key,
-			"trace", sp.Context().TraceID, "err", err)
-		s.failRun(w, err)
-		return
-	}
-	s.log.Debug("run served", "app", spec.AppName, "key", key,
-		"trace", sp.Context().TraceID, "source", answerSource(outcome),
-		"seconds", time.Since(start).Seconds())
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Answer-Source", answerSource(outcome))
-	json.NewEncoder(w).Encode(rec)
+	writeJSON(w, http.StatusOK, rec)
 }
 
 // SweepRequest enumerates a grid by its public names. Empty dimensions
@@ -675,202 +708,125 @@ type SweepItem struct {
 	Error  string            `json:"error,omitempty"`
 }
 
+// sweepCell is one resolved run of a sweep grid and its wire request.
+type sweepCell struct {
+	p    *hybridmem.Platform
+	spec hybridmem.RunSpec
+	wire RunRequest
+}
+
+// sweepCells expands a sweep request, policy-major like RunSweep.
+func (s *Server) sweepCells(req SweepRequest, mode string) ([]sweepCell, error) {
+	collectors, err := parseAll(req.Collectors, hybridmem.ParseCollector)
+	if err != nil {
+		return nil, err
+	}
+	datasets, err := parseAll(req.Datasets, hybridmem.ParseDataset)
+	if err != nil {
+		return nil, err
+	}
+	policies, err := parseAll(req.Policies, hybridmem.ParsePolicy)
+	if err != nil {
+		return nil, err
+	}
+	sweep := hybridmem.NewSweep(req.Apps...).Collectors(collectors...).
+		Instances(req.Instances...).Datasets(datasets...)
+	if req.Native {
+		sweep.Native()
+	}
+	specs := sweep.Specs()
+	passes := max(len(policies), 1) // one per policy, or the platform's own
+	cells := make([]sweepCell, 0, passes*len(specs))
+	for pi := range passes {
+		policy := ""
+		if len(policies) > 0 {
+			policy = policies[pi].String()
+		}
+		for _, g := range specs {
+			// Resolve every cell before the stream starts (errors after
+			// the 200 header can only go in-stream), from the wire request
+			// a forward carries, so the owner lands on the same key.
+			wire := RunRequest{
+				App:       g.AppName,
+				Collector: g.Collector.String(),
+				Instances: g.Instances,
+				Dataset:   g.Dataset.String(),
+				Mode:      req.Mode,
+				Policy:    policy,
+				Native:    g.Native,
+				Answer:    mode,
+			}
+			spec, p, err := s.resolve(wire)
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, sweepCell{p: p, spec: spec, wire: wire})
+		}
+	}
+	return cells, nil
+}
+
 // handleSweep serves POST /v1/sweep: the grid streams back as JSON
 // lines as runs complete, so a client watching a long sweep sees
-// progress immediately and cached entries instantly.
+// progress immediately and cached entries instantly. A disconnect
+// stops the grid at the next cell.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	var req SweepRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	mode, err := answerMode(r.URL.Query().Get("answer"), req.Answer)
+	var cells []sweepCell
+	if err == nil {
+		cells, err = s.sweepCells(req, mode)
+	}
 	if err != nil {
 		fail(w, httpStatus(err), err)
 		return
 	}
-	sweep := hybridmem.NewSweep(req.Apps...)
-	if len(req.Collectors) > 0 {
-		ks := make([]hybridmem.Collector, len(req.Collectors))
-		for i, name := range req.Collectors {
-			k, err := hybridmem.ParseCollector(name)
-			if err != nil {
-				fail(w, http.StatusBadRequest, err)
-				return
-			}
-			ks[i] = k
-		}
-		sweep.Collectors(ks...)
-	}
-	if len(req.Instances) > 0 {
-		for _, n := range req.Instances {
-			if n < 0 {
-				fail(w, http.StatusBadRequest,
-					fmt.Errorf("%w: instances must be >= 0, got %d", errBadRequest, n))
-				return
-			}
-		}
-		sweep.Instances(req.Instances...)
-	}
-	if len(req.Datasets) > 0 {
-		ds := make([]hybridmem.Dataset, len(req.Datasets))
-		for i, name := range req.Datasets {
-			d, err := hybridmem.ParseDataset(name)
-			if err != nil {
-				fail(w, http.StatusBadRequest, err)
-				return
-			}
-			ds[i] = d
-		}
-		sweep.Datasets(ds...)
-	}
-	if req.Native {
-		sweep.Native()
-	}
-	p := s.p
-	if req.Mode != "" {
-		m, err := hybridmem.ParseMode(req.Mode)
-		if err != nil {
-			fail(w, http.StatusBadRequest, err)
-			return
-		}
-		p = p.With(hybridmem.WithMode(m))
-	}
-	// A policies dimension expands the grid policy-major: the spec
-	// grid repeats once per policy on a derived platform, matching
-	// the RunSweep alignment.
-	type cell struct {
-		p      *hybridmem.Platform
-		spec   hybridmem.RunSpec
-		policy string
-	}
-	platforms := []*hybridmem.Platform{p}
-	policyNames := []string{""}
-	if len(req.Policies) > 0 {
-		platforms = platforms[:0]
-		policyNames = policyNames[:0]
-		for _, name := range req.Policies {
-			pol, err := hybridmem.ParsePolicy(name)
-			if err != nil {
-				fail(w, http.StatusBadRequest, err)
-				return
-			}
-			platforms = append(platforms, p.With(hybridmem.WithPolicy(pol)))
-			policyNames = append(policyNames, pol.String())
-		}
-	}
-	specs := sweep.Specs()
-	cells := make([]cell, 0, len(platforms)*len(specs))
-	for pi, pp := range platforms {
-		for _, spec := range specs {
-			// Normalize and validate the whole grid before the stream
-			// starts: errors after the 200 header can only go in-stream.
-			spec = hybridmem.NormalizeSpec(spec)
-			if err := pp.Validate(spec); err != nil {
-				fail(w, httpStatus(err), err)
-				return
-			}
-			cells = append(cells, cell{p: pp, spec: spec, policy: policyNames[pi]})
-		}
-	}
-
-	ctx := r.Context()
-	if sc, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-		ctx = obs.ContextWithRemote(ctx, sc)
-	}
-	ctx, sp := s.tel.Tracer.Start(ctx, "sweep")
-	sp.SetAttr("cells", strconv.Itoa(len(cells)))
 	// The sweep parent tracks grid completion; each cell gets its own
-	// flight-recorder record (and its own "run" span, so the core's
-	// progress callbacks route per cell, not per sweep).
-	sh := s.runs.Begin("sweep", "", "", sp.Context().TraceID, sp.Context().SpanID, "")
-	sh.SetCells(len(cells))
-	sh.Transition(RunAdmitted, "")
+	// record (and its own "run" span, so the core's progress callbacks
+	// route per cell, not per sweep).
+	ctx, lc := s.begin(r.Context(), r, "sweep", "", "", "cells", strconv.Itoa(len(cells)))
+	lc.SetCells(len(cells))
+	lc.Transition(RunAdmitted, "")
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
 	// The stream mixes provenances under auto; the header echoes the
 	// mode, each item's Result carries its own Estimated tag.
 	w.Header().Set("X-Answer-Source", mode)
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	var (
-		writeMu sync.Mutex
-		wg      sync.WaitGroup
-	)
-	emit := func(item SweepItem) {
+	out := ndjson(w)
+	var writeMu sync.Mutex
+	workers, _ := s.adm.Capacity()
+	err = jobs.Pool(ctx, workers, len(cells), func(ctx context.Context, i int) error {
+		c := cells[i]
+		rec, _, err := s.serveRun(ctx, nil, mode, c.p, c.spec, c.wire, "cell", strconv.Itoa(i))
+		lc.CellDone()
+		item := SweepItem{Index: i, Key: rec.Key, Sum: rec.Sum, Policy: c.wire.Policy, Spec: rec.Spec, Result: &rec.Result}
+		if err != nil {
+			// Per-item failures stay in-stream: the rest of the grid
+			// keeps going, the client sees which cell broke.
+			item = SweepItem{Index: i, Policy: c.wire.Policy, Spec: c.spec, Error: err.Error()}
+		}
 		writeMu.Lock()
 		defer writeMu.Unlock()
-		json.NewEncoder(w).Encode(item)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	queue := make(chan int, len(cells))
-	for i := range cells {
-		queue <- i
-	}
-	close(queue)
-	workers, _ := s.adm.Capacity()
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range queue {
-				c := cells[i]
-				// Reconstruct the cell as a wire request so it can be
-				// forwarded to its ring owner; every field round-trips
-				// through the same Parse* functions the peer resolves
-				// with, and both sides normalize, so the peer lands on
-				// the identical spec and canonical key.
-				wire := RunRequest{
-					App:       c.spec.AppName,
-					Collector: c.spec.Collector.String(),
-					Instances: c.spec.Instances,
-					Dataset:   c.spec.Dataset.String(),
-					Mode:      req.Mode,
-					Policy:    c.policy,
-					Native:    c.spec.Native,
-					Answer:    mode,
-				}
-				key := c.p.SpecKey(c.spec)
-				cctx, csp := s.tel.Tracer.Start(ctx, "run")
-				csp.SetAttr("app", c.spec.AppName)
-				csp.SetAttr("key", key)
-				csp.SetAttr("cell", strconv.Itoa(i))
-				ch := s.runs.Begin("run", c.spec.AppName, key, csp.Context().TraceID, csp.Context().SpanID, "")
-				rec, outcome, err := s.answer(cctx, ch, mode, false, c.p, c.spec, wire)
-				if err != nil {
-					csp.SetAttr("error", err.Error())
-				}
-				csp.End()
-				ch.Finish(outcome, err)
-				sh.CellDone()
-				if err != nil {
-					// Per-item failures stay in-stream: the rest of the
-					// grid keeps going, the client sees which cell broke.
-					emit(SweepItem{Index: i, Policy: c.policy, Spec: c.spec, Error: err.Error()})
-					continue
-				}
-				emit(SweepItem{Index: i, Key: rec.Key, Sum: rec.Sum, Policy: c.policy, Spec: rec.Spec, Result: &rec.Result})
-			}
-		}()
-	}
-	wg.Wait()
-	sp.End()
-	sh.Finish("", nil)
-	s.sweepSec.Observe(time.Since(start).Seconds())
-	s.log.Debug("sweep served", "cells", len(cells),
-		"trace", sp.Context().TraceID, "seconds", time.Since(start).Seconds())
+		json.NewEncoder(out).Encode(item)
+		return nil
+	})
+	lc.end("", err)
+	s.log.Debug("sweep served", "cells", len(cells), "trace", lc.sp.Context().TraceID,
+		"seconds", time.Since(lc.start).Seconds(), "err", err)
 }
 
-// flushWriter streams every trace record to the client as it is
-// written, so a dashboard tailing /v1/trace sees quanta live while the
-// run is still executing.
+// ndjson starts a 200 stream that flushes every line to the client.
+func ndjson(w http.ResponseWriter) io.Writer {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	f, _ := w.(http.Flusher)
+	return flushWriter{w: w, f: f}
+}
+
+// flushWriter flushes every write through to the client.
 type flushWriter struct {
 	w http.ResponseWriter
 	f http.Flusher
@@ -882,6 +838,87 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 		fw.f.Flush()
 	}
 	return n, err
+}
+
+// resident looks key up under a ?source= selector: the trace on a hit,
+// nil to record live, or an error (ErrNotFound on a library-only miss).
+func (s *Server) resident(source, key string) ([]byte, error) {
+	switch source {
+	case "", "auto", "library", "live":
+	default:
+		return nil, fmt.Errorf("%w: bad source %q (want auto, library, or live)", errBadRequest, source)
+	}
+	if s.lib == nil || source == "live" {
+		return nil, nil
+	}
+	tr, err := s.lib.Get(key)
+	switch {
+	case err == nil:
+		s.libHits.Add(1)
+		return tr.Bytes(), nil
+	case errors.Is(err, library.ErrNotFound) && source != "library":
+		s.libMisses.Add(1)
+		return nil, nil
+	}
+	return nil, err
+}
+
+// recordLive runs spec traced under a slot (it always computes), tees
+// the trace into open's writer if any, files a success in the library
+// with its Result as baseline, and returns it unless only streamed.
+func (s *Server) recordLive(ctx context.Context, h *RunHandle, p *hybridmem.Platform, spec hybridmem.RunSpec, key string, open func() io.Writer) ([]byte, error) {
+	release, err := s.admit(ctx, h)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	var trc bytes.Buffer
+	var sink io.Writer = &trc
+	if open != nil {
+		sink = open()
+		if s.lib != nil {
+			sink = io.MultiWriter(sink, &trc)
+		}
+	}
+	h.Transition(RunLocal, "")
+	res, err := p.With(hybridmem.WithTrace(sink)).Run(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	if s.lib != nil {
+		// Ingest failures are the operator's problem (a full disk),
+		// never the requester's.
+		if err := s.ingestTrace(key, spec, res, trc.Bytes()); err != nil {
+			s.log.Error("trace library ingest failed", "app", spec.AppName, "err", err)
+		}
+	}
+	return trc.Bytes(), nil
+}
+
+// queryRequest reads a RunRequest from the query parameters.
+func queryRequest(q url.Values) (RunRequest, error) {
+	req := RunRequest{
+		App:       q.Get("app"),
+		Collector: q.Get("collector"),
+		Dataset:   q.Get("dataset"),
+		Mode:      q.Get("mode"),
+		Policy:    q.Get("policy"),
+	}
+	if v := q.Get("instances"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return req, fmt.Errorf("bad instances %q: %w", v, err)
+		}
+		req.Instances = n
+	}
+	if v := q.Get("native"); v != "" {
+		b, err := strconv.ParseBool(v)
+		if err != nil {
+			return req, fmt.Errorf("bad native %q: %w", v, err)
+		}
+		req.Native = b
+	}
+	return req, nil
 }
 
 // handleTrace serves GET /v1/trace: the compacted placement trace of
@@ -909,35 +946,9 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 // connection.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	req := RunRequest{
-		App:       q.Get("app"),
-		Collector: q.Get("collector"),
-		Dataset:   q.Get("dataset"),
-		Mode:      q.Get("mode"),
-		Policy:    q.Get("policy"),
-	}
-	if v := q.Get("instances"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			fail(w, http.StatusBadRequest, fmt.Errorf("bad instances %q: %w", v, err))
-			return
-		}
-		req.Instances = n
-	}
-	if v := q.Get("native"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			fail(w, http.StatusBadRequest, fmt.Errorf("bad native %q: %w", v, err))
-			return
-		}
-		req.Native = b
-	}
-	source := q.Get("source")
-	switch source {
-	case "", "auto", "library", "live":
-	default:
-		fail(w, http.StatusBadRequest,
-			fmt.Errorf("%w: bad source %q (want auto, library, or live)", errBadRequest, source))
+	req, err := queryRequest(q)
+	if err != nil {
+		fail(w, http.StatusBadRequest, err)
 		return
 	}
 	spec, p, err := s.resolve(req)
@@ -946,88 +957,36 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := p.SpecKey(spec)
-
-	if s.lib != nil && source != "live" {
-		tr, lerr := s.lib.Get(key)
-		switch {
-		case lerr == nil:
-			s.libHits.Add(1)
-			_, sp := s.tel.Tracer.Start(r.Context(), "trace")
-			sp.SetAttr("app", spec.AppName)
-			sp.SetAttr("source", "library")
-			defer sp.End()
-			h := s.runs.Begin("trace", spec.AppName, key,
-				sp.Context().TraceID, sp.Context().SpanID, "")
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.Header().Set("X-Trace-Source", "library")
-			w.Write(tr.Bytes())
-			h.Finish(OutcomeLibrary, nil)
-			return
-		case !errors.Is(lerr, library.ErrNotFound):
-			fail(w, http.StatusInternalServerError, lerr)
-			return
-		case source == "library":
-			fail(w, http.StatusNotFound, lerr)
-			return
-		}
-		s.libMisses.Add(1)
-	}
-
-	ctx, sp := s.tel.Tracer.Start(r.Context(), "trace")
-	sp.SetAttr("app", spec.AppName)
-	sp.SetAttr("source", "live")
-	defer sp.End()
-	h := s.runs.Begin("trace", spec.AppName, key,
-		sp.Context().TraceID, sp.Context().SpanID, "")
-	// Tracing always computes, so it always takes a slot — there is no
-	// cached read or joinable flight to exempt.
-	release, err := s.adm.Acquire(ctx)
+	data, err := s.resident(q.Get("source"), key)
 	if err != nil {
-		h.Finish("", err)
-		if errors.Is(err, jobs.ErrOverloaded) {
-			s.failRun(w, err)
-			return
-		}
-		fail(w, http.StatusServiceUnavailable, err)
+		fail(w, httpStatus(err), err)
 		return
 	}
-	h.Transition(RunAdmitted, "")
-	s.inflight.Add(1)
-	defer func() {
-		s.inflight.Add(-1)
-		release()
-	}()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Trace-Source", "live")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	h.Transition(RunLocal, "")
-	var sink io.Writer = flushWriter{w: w, f: flusher}
-	var ingest *bytes.Buffer
-	if s.lib != nil {
-		// Tee the stream so a successful recording lands in the
-		// library and the next request skips the emulator.
-		ingest = &bytes.Buffer{}
-		sink = io.MultiWriter(sink, ingest)
+	if data != nil {
+		_, lc := s.begin(r.Context(), r, "trace", spec.AppName, key, "app", spec.AppName, "source", "library")
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Header().Set("X-Trace-Source", "library")
+		w.Write(data)
+		lc.end(OutcomeLibrary, nil)
+		return
 	}
-	tp := p.With(hybridmem.WithTrace(sink))
-	res, err := tp.Run(ctx, spec)
-	if err != nil {
+	ctx, lc := s.begin(r.Context(), r, "trace", spec.AppName, key, "app", spec.AppName, "source", "live")
+	streaming := false
+	_, err = s.recordLive(ctx, lc.RunHandle, p, spec, key, func() io.Writer {
+		streaming = true
+		w.Header().Set("X-Trace-Source", "live")
+		return ndjson(w)
+	})
+	lc.end(OutcomeComputed, err)
+	if err != nil && !streaming {
+		fail(w, httpStatus(err), err)
+	} else if err != nil {
 		// The 200 and (likely) part of the trace are already on the
 		// wire; all that is left is to stop extending the stream. A
 		// disconnected client lands here as context.Canceled — the
 		// cancellation already stopped the emulation.
 		s.log.Error("trace run stopped mid-stream", "app", spec.AppName, "err", err)
-		h.Finish("", err)
-		return
 	}
-	if ingest != nil {
-		// Filed with the run's measured Result as its baseline, so the
-		// neighborhood becomes estimable, not just replayable.
-		s.ingestTrace(spec.AppName, key, spec, res, ingest.Bytes())
-	}
-	h.Finish(OutcomeComputed, nil)
 }
 
 // AutotuneGrid is the wire form of a knob grid: the cartesian product
@@ -1104,105 +1063,44 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 		req.Run.Policy = grid.Policy.String()
 	}
 	spec, p, err := s.resolve(req.Run)
-	if err != nil {
-		fail(w, httpStatus(err), err)
-		return
-	}
-	if spec.Native {
+	if err == nil && spec.Native {
 		// Native runs take no GC safepoints: the trace would hold zero
 		// quanta and every grid point would price to nothing.
-		fail(w, http.StatusBadRequest,
-			fmt.Errorf("%w: native runs have no policy quanta to autotune", errBadRequest))
-		return
+		err = fmt.Errorf("%w: native runs have no policy quanta to autotune", errBadRequest)
 	}
-	switch req.Source {
-	case "", "auto", "library", "live":
-	default:
-		fail(w, http.StatusBadRequest,
-			fmt.Errorf("%w: bad source %q (want auto, library, or live)", errBadRequest, req.Source))
-		return
+	var key string
+	var data []byte
+	if err == nil {
+		key = p.SpecKey(spec)
+		data, err = s.resident(req.Source, key)
 	}
-
-	if s.lib != nil && req.Source != "live" {
-		key := p.SpecKey(spec)
-		tr, lerr := s.lib.Get(key)
-		switch {
-		case lerr == nil:
-			// Price the grid against the resident trace: no emulation,
-			// no admission slot — replay is milliseconds of CPU.
-			s.libHits.Add(1)
-			ctx, sp := s.tel.Tracer.Start(r.Context(), "autotune")
-			sp.SetAttr("app", spec.AppName)
-			sp.SetAttr("source", "library")
-			defer sp.End()
-			h := s.runs.Begin("autotune", spec.AppName, key,
-				sp.Context().TraceID, sp.Context().SpanID, "")
-			rep, aerr := hybridmem.Autotune(ctx, bytes.NewReader(tr.Bytes()), grid)
-			if aerr != nil {
-				h.Finish("", aerr)
-				fail(w, http.StatusInternalServerError, aerr)
-				return
-			}
-			h.Finish(OutcomeLibrary, nil)
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Trace-Source", "library")
-			json.NewEncoder(w).Encode(rep)
-			return
-		case !errors.Is(lerr, library.ErrNotFound):
-			fail(w, http.StatusInternalServerError, lerr)
-			return
-		case req.Source == "library":
-			fail(w, http.StatusNotFound, lerr)
-			return
-		}
-		s.libMisses.Add(1)
-	}
-
-	ctx, sp := s.tel.Tracer.Start(r.Context(), "autotune")
-	sp.SetAttr("app", spec.AppName)
-	defer sp.End()
-	h := s.runs.Begin("autotune", spec.AppName, p.SpecKey(spec),
-		sp.Context().TraceID, sp.Context().SpanID, "")
-	// The traced recording always computes, so it always takes a slot.
-	release, err := s.adm.Acquire(ctx)
 	if err != nil {
-		h.Finish("", err)
-		if errors.Is(err, jobs.ErrOverloaded) {
-			s.failRun(w, err)
-			return
-		}
-		fail(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	h.Transition(RunAdmitted, "")
-	s.inflight.Add(1)
-	defer func() {
-		s.inflight.Add(-1)
-		release()
-	}()
-
-	var trc bytes.Buffer
-	h.Transition(RunLocal, "")
-	res, err := p.With(hybridmem.WithTrace(&trc)).Run(ctx, spec)
-	if err != nil {
-		h.Finish("", err)
 		fail(w, httpStatus(err), err)
 		return
 	}
-	h.Finish(OutcomeComputed, nil)
-	if s.lib != nil {
-		s.ingestTrace(spec.AppName, p.SpecKey(spec), spec, res, trc.Bytes())
+
+	// A resident trace needs no emulation and no slot: replay is
+	// milliseconds of CPU. Otherwise it is recorded live, in memory.
+	source, outcome, attrs := "library", OutcomeLibrary, []string{"app", spec.AppName, "source", "library"}
+	if data == nil {
+		source, outcome, attrs = "live", OutcomeComputed, attrs[:2]
 	}
-	rep, err := hybridmem.Autotune(ctx, bytes.NewReader(trc.Bytes()), grid)
+	ctx, lc := s.begin(r.Context(), r, "autotune", spec.AppName, key, attrs...)
+	if data == nil {
+		data, err = s.recordLive(ctx, lc.RunHandle, p, spec, key, nil)
+	}
+	var rep hybridmem.AutotuneReport
+	if err == nil {
+		// A corrupt resident or fresh trace is a server bug (500).
+		rep, err = hybridmem.Autotune(ctx, bytes.NewReader(data), grid)
+	}
+	lc.end(outcome, err)
 	if err != nil {
-		// The recording is in memory and freshly written; corruption
-		// here is a server bug, not client input.
-		fail(w, http.StatusInternalServerError, err)
+		fail(w, httpStatus(err), err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Trace-Source", "live")
-	json.NewEncoder(w).Encode(rep)
+	w.Header().Set("X-Trace-Source", source)
+	writeJSON(w, http.StatusOK, rep)
 }
 
 // handlePolicies serves GET /v1/policies: the placement policies the
@@ -1221,12 +1119,46 @@ func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 			Default:     k == s.p.PolicyKind(),
 		})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
+	writeJSON(w, http.StatusOK, struct {
 		Count    int          `json:"count"`
 		Policies []policyInfo `json:"policies"`
 	}{Count: len(out), Policies: out})
 }
+
+// queryCount parses a non-negative ?limit= or ?offset= (def if absent).
+func queryCount(q url.Values, name string, def int) (int, error) {
+	v := q.Get(name)
+	if v == "" {
+		return def, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("%w: %s must be a non-negative integer, got %q", errBadRequest, name, v)
+	}
+	return n, nil
+}
+
+// paged cuts the ?limit= / ?offset= window out of list(match); total
+// counts every match, and an empty window still encodes as [].
+func paged[T any](q url.Values, list func(match func(T) bool) []T, match func(T) bool) (window []T, total, offset int, err error) {
+	limit, err := queryCount(q, "limit", -1)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if offset, err = queryCount(q, "offset", 0); err != nil {
+		return nil, 0, 0, err
+	}
+	window = list(match)
+	total = len(window)
+	window = window[min(offset, total):]
+	if limit >= 0 && limit < len(window) {
+		window = window[:limit]
+	}
+	return window, total, offset, nil
+}
+
+// wants reports whether got satisfies an optional filter value.
+func wants(want, got string) bool { return want == "" || got == want }
 
 // handleResults serves GET /v1/results: the durable store's listing,
 // filtered by spec fields (?app=, ?collector=, ?dataset=, ?instances=,
@@ -1244,82 +1176,33 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	match := func(rec store.Record) bool { return true }
-	filters := []func(store.Record) bool{}
-	if app := q.Get("app"); app != "" {
-		filters = append(filters, func(rec store.Record) bool { return rec.Spec.AppName == app })
+	want, err := queryRequest(q)
+	var k hybridmem.Collector
+	var d hybridmem.Dataset
+	if err == nil && want.Collector != "" {
+		k, err = hybridmem.ParseCollector(want.Collector)
 	}
-	if name := q.Get("collector"); name != "" {
-		k, err := hybridmem.ParseCollector(name)
-		if err != nil {
-			fail(w, http.StatusBadRequest, err)
-			return
-		}
-		filters = append(filters, func(rec store.Record) bool { return !rec.Spec.Native && rec.Spec.Collector == k })
+	if err == nil && want.Dataset != "" {
+		d, err = hybridmem.ParseDataset(want.Dataset)
 	}
-	if name := q.Get("dataset"); name != "" {
-		d, err := hybridmem.ParseDataset(name)
-		if err != nil {
-			fail(w, http.StatusBadRequest, err)
-			return
-		}
-		filters = append(filters, func(rec store.Record) bool { return rec.Spec.Dataset == d })
+	if err != nil {
+		fail(w, http.StatusBadRequest, err)
+		return
 	}
-	if v := q.Get("instances"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			fail(w, http.StatusBadRequest, fmt.Errorf("bad instances %q: %w", v, err))
-			return
-		}
-		filters = append(filters, func(rec store.Record) bool { return rec.Spec.Instances == n })
+	instances, native := q.Get("instances") != "", q.Get("native") != ""
+	recs, total, offset, err := paged(q, st.List, func(rec store.Record) bool {
+		sp := rec.Spec
+		return wants(want.App, sp.AppName) &&
+			(want.Collector == "" || !sp.Native && sp.Collector == k) &&
+			(want.Dataset == "" || sp.Dataset == d) &&
+			(!instances || sp.Instances == want.Instances) &&
+			(!native || sp.Native == want.Native)
+	})
+	if err != nil {
+		fail(w, http.StatusBadRequest, err)
+		return
 	}
-	if v := q.Get("native"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			fail(w, http.StatusBadRequest, fmt.Errorf("bad native %q: %w", v, err))
-			return
-		}
-		filters = append(filters, func(rec store.Record) bool { return rec.Spec.Native == b })
-	}
-	limit, offset := -1, 0
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			fail(w, http.StatusBadRequest, fmt.Errorf("%w: limit must be a non-negative integer, got %q", errBadRequest, v))
-			return
-		}
-		limit = n
-	}
-	if v := q.Get("offset"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			fail(w, http.StatusBadRequest, fmt.Errorf("%w: offset must be a non-negative integer, got %q", errBadRequest, v))
-			return
-		}
-		offset = n
-	}
-	if len(filters) > 0 {
-		match = func(rec store.Record) bool {
-			for _, f := range filters {
-				if !f(rec) {
-					return false
-				}
-			}
-			return true
-		}
-	}
-	recs := st.List(match)
-	total := len(recs)
-	if offset >= len(recs) {
-		recs = nil
-	} else {
-		recs = recs[offset:]
-	}
-	if limit >= 0 && limit < len(recs) {
-		recs = recs[:limit]
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
+	writeJSON(w, http.StatusOK, struct {
 		Count   int            `json:"count"`
 		Total   int            `json:"total"`
 		Offset  int            `json:"offset"`
@@ -1329,10 +1212,10 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz serves GET /healthz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
+	inflight, _ := s.adm.Depth()
+	writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
-		"inflight": s.inflight.Load(),
+		"inflight": inflight,
 	})
 }
 
@@ -1341,23 +1224,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // endpoint a cluster supervisor (or the CI smoke test) polls to decide
 // a node is up and agreeing on topology.
 func (s *Server) handleNodeHealthz(w http.ResponseWriter, r *http.Request) {
-	inflight, queued := s.adm.Depth()
-	maxInFlight, maxQueued := s.adm.Capacity()
-	info := map[string]any{
-		"status":      "ok",
-		"node":        s.node,
-		"inflight":    inflight,
-		"queued":      queued,
-		"maxInflight": maxInFlight,
-		"maxQueued":   maxQueued,
-	}
-	if s.fab != nil {
-		info["ring"] = s.fab.Members()
-	} else {
-		info["ring"] = []string{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(info)
+	st := s.nodeStatus()
+	writeJSON(w, http.StatusOK, map[string]any{
+		"status":      st.Status,
+		"node":        st.Node,
+		"inflight":    st.Inflight,
+		"queued":      st.Queued,
+		"maxInflight": st.MaxInflight,
+		"maxQueued":   st.MaxQueued,
+		"ring":        st.Ring,
+	})
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition
@@ -1379,23 +1255,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // ring holds a bounded window — scrape it after the runs of interest,
 // or start the daemon with -spans FILE for a complete record.
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			fail(w, http.StatusBadRequest,
-				fmt.Errorf("%w: limit must be a non-negative integer, got %q", errBadRequest, v))
-			return
-		}
-		limit = n
+	limit, err := queryCount(r.URL.Query(), "limit", 0)
+	if err != nil {
+		fail(w, http.StatusBadRequest, err)
+		return
 	}
 	trace := r.URL.Query().Get("trace")
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	for _, rec := range s.tel.Tracer.Recent(limit) {
-		if trace != "" && rec.Trace != trace {
-			continue
+		if wants(trace, rec.Trace) {
+			enc.Encode(rec)
 		}
-		enc.Encode(rec)
 	}
 }

@@ -480,6 +480,10 @@ func TestResultsPaging(t *testing.T) {
 	if out := get("?offset=99"); out.Count != 0 || out.Total != 3 {
 		t.Errorf("past-the-end page = %d/%d", out.Count, out.Total)
 	}
+	// An empty page is an empty list, as on /v1/runs, never null.
+	if out := get("?offset=99"); out.Records == nil {
+		t.Error(`past-the-end page encodes "records":null, want []`)
+	}
 	// limit=0 returns no records but still reports the total.
 	if out := get("?limit=0"); out.Count != 0 || out.Total != 3 {
 		t.Errorf("limit=0 page = %d/%d", out.Count, out.Total)
@@ -543,6 +547,45 @@ func TestSweepPoliciesDimension(t *testing.T) {
 	defer bad.Body.Close()
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown sweep policy = %d, want 400", bad.StatusCode)
+	}
+}
+
+// TestSweepDisconnectStopsGrid: a client that disconnects mid-sweep
+// stops the grid at the next cell instead of opening a span, a failed
+// run record and a dispatch for every remaining one, and the sweep's
+// own record fails with the client's cancellation. With MaxInFlight=1
+// the cells run one at a time, so the context is cancelled right after
+// the first streamed item, before any other cell starts.
+func TestSweepDisconnectStopsGrid(t *testing.T) {
+	p := hybridmem.New(hybridmem.WithScale(hybridmem.Quick))
+	s, err := New(p, Config{MaxInFlight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collectors := []string{"PCM-Only", "KG-N", "KG-W"}
+	body, err := json.Marshal(SweepRequest{Apps: []string{"lusearch"}, Collectors: collectors})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rec := &cancelOnWrite{ResponseRecorder: httptest.NewRecorder(), after: 1, cancel: cancel}
+	s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sweep", bytes.NewReader(body)).WithContext(ctx))
+
+	sweeps := s.runs.List(func(ri RunInfo) bool { return ri.Kind == "sweep" })
+	if len(sweeps) != 1 {
+		t.Fatalf("flight recorder has %d sweep records, want 1", len(sweeps))
+	}
+	if sweeps[0].State != RunFailed {
+		t.Errorf("disconnected sweep state = %q, want %q", sweeps[0].State, RunFailed)
+	}
+	if !strings.Contains(sweeps[0].Error, context.Canceled.Error()) {
+		t.Errorf("disconnected sweep error = %q, want the client's cancellation", sweeps[0].Error)
+	}
+	cells := s.runs.List(func(ri RunInfo) bool { return ri.Kind == "run" })
+	if len(cells) >= len(collectors) {
+		t.Errorf("%d cell records begun for a %d-cell grid cancelled after its first item",
+			len(cells), len(collectors))
 	}
 }
 

@@ -99,8 +99,7 @@ func (s *Server) nodeStatus() NodeStatus {
 
 // handleStatus serves GET /v1/status.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.nodeStatus())
+	writeJSON(w, http.StatusOK, s.nodeStatus())
 }
 
 // FleetSummary is the merged headline of a fleet status document: sums
@@ -156,9 +155,7 @@ type FleetStatus struct {
 // fabric's degrade-to-local philosophy. Without a fabric the fleet is
 // this one node.
 func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
-	fleet := s.fleetStatus(r)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(fleet)
+	writeJSON(w, http.StatusOK, s.fleetStatus(r))
 }
 
 func (s *Server) fleetStatus(r *http.Request) FleetStatus {
