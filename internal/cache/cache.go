@@ -11,7 +11,10 @@
 // multiprogrammed instances interfere in the shared L3.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Victim describes a line displaced by an allocation.
 type Victim struct {
@@ -29,7 +32,18 @@ type Config struct {
 	Bytes    int // total capacity
 	Ways     int // associativity
 	LineSize int // bytes per line; 64 everywhere in this platform
+	// SpanBytes bounds the physical addresses the cache is asked to
+	// hold: every address must lie in [0, SpanBytes). It sizes the
+	// packed tag word; 0 means a 4 GiB span.
+	SpanBytes uint64
 }
+
+// defaultSpan is the physical span assumed when Config.SpanBytes is 0.
+const defaultSpan = 1 << 32
+
+// maxTag is the largest tag a way word holds: (maxTag+1)<<1 | 1 is
+// the largest uint32.
+const maxTag = 1<<31 - 2
 
 // Stats are cumulative access statistics for one cache.
 type Stats struct {
@@ -39,25 +53,29 @@ type Stats struct {
 	DirtyEvicts uint64
 }
 
-// Cache is a single set-associative write-back cache level. Ways within
-// a set are kept in MRU→LRU order; associativity is small (≤20 on this
-// platform) so reordering is a short copy. Not safe for concurrent use.
+// Cache is a single set-associative write-back cache level. Each way is
+// one packed word, (tag+1)<<1 | dirty, with 0 meaning invalid; the
+// victim address is rebuilt from tag and set. Ways within a set are
+// kept in exact MRU→LRU order, and invalid ways always form the set's
+// tail. Not safe for concurrent use.
 type Cache struct {
 	cfg   Config
 	sets  uint64
 	ways  int
-	shift uint
-	// lines holds lineAddr+1 per (set,way); 0 means invalid. Storing
-	// the full line address rather than a tag lets evictions
-	// reconstruct the victim address directly.
-	lines []uint64
-	dirty []bool
-	stats Stats
+	shift uint // log2 of the line size
+	// pow2 selects the mask set index: set = line&mask, tag =
+	// line>>setBits. Otherwise set = line%sets, tag = line/sets.
+	pow2    bool
+	setBits uint
+	mask    uint64
+	words   []uint32
+	stats   Stats
 }
 
 // New returns a cache for the configuration. It panics on a geometry
-// that cannot form whole sets, since that is a programming error in the
-// platform description, not a runtime condition.
+// that cannot form whole sets, or whose tags for the configured span
+// would overflow a 32-bit way word, since either is a programming
+// error in the platform description, not a runtime condition.
 func New(cfg Config) *Cache {
 	if cfg.LineSize == 0 {
 		cfg.LineSize = 64
@@ -77,14 +95,25 @@ func New(cfg Config) *Cache {
 	for 1<<shift < cfg.LineSize {
 		shift++
 	}
-	return &Cache{
+	c := &Cache{
 		cfg:   cfg,
 		sets:  uint64(sets),
 		ways:  cfg.Ways,
 		shift: shift,
-		lines: make([]uint64, sets*cfg.Ways),
-		dirty: make([]bool, sets*cfg.Ways),
+		pow2:  sets&(sets-1) == 0,
+		words: make([]uint32, sets*cfg.Ways),
 	}
+	if c.pow2 {
+		c.setBits = uint(bits.TrailingZeros64(c.sets))
+		c.mask = c.sets - 1
+	}
+	if c.cfg.SpanBytes == 0 {
+		c.cfg.SpanBytes = defaultSpan
+	}
+	if _, tag := c.locate((c.cfg.SpanBytes - 1) >> shift); tag > maxTag {
+		panic(fmt.Sprintf("cache %s: a %d-byte span needs tag %d, past the 32-bit way word", cfg.Name, c.cfg.SpanBytes, tag))
+	}
+	return c
 }
 
 // Config returns the cache's configuration.
@@ -96,74 +125,116 @@ func (c *Cache) Stats() Stats { return c.stats }
 // LineAddr converts a byte address to its 64-byte line address.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.shift << c.shift }
 
+// locate splits a line number into its set index and tag.
+func (c *Cache) locate(line uint64) (set, tag uint64) {
+	if c.pow2 {
+		return line & c.mask, line >> c.setBits
+	}
+	tag = line / c.sets
+	return line - tag*c.sets, tag
+}
+
+// outOfSpan panics for an address whose tag does not fit a way word.
+// It is kept out of line, off Access's hot path.
+//
+//go:noinline
+func (c *Cache) outOfSpan(addr uint64) {
+	panic(fmt.Sprintf("cache %s: address %#x outside the %d-byte span", c.cfg.Name, addr, c.cfg.SpanBytes))
+}
+
+// lineAddr rebuilds the address of the line a valid way word holds in
+// the given set.
+func (c *Cache) lineAddr(word uint32, set uint64) uint64 {
+	tag := uint64(word>>1) - 1
+	var line uint64
+	if c.pow2 {
+		line = tag<<c.setBits | set
+	} else {
+		line = tag*c.sets + set
+	}
+	return line << c.shift
+}
+
 // Access performs one read or write of the line containing addr.
 // On a miss the line is allocated (write-allocate) and the displaced
 // line, if any, is returned so the caller can cascade the writeback.
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim) {
-	line := addr >> c.shift
-	set := line % c.sets
+	set, tag := c.locate(addr >> c.shift)
+	if tag > maxTag {
+		c.outOfSpan(addr)
+	}
 	base := int(set) * c.ways
-	enc := line + 1
+	ways, want := c.words[base:base+c.ways], uint32(tag+1)<<1
+	var dirty uint32
+	if write {
+		dirty = 1
+	}
 	c.stats.Accesses++
 
-	for w := 0; w < c.ways; w++ {
-		if c.lines[base+w] == enc {
-			// Hit: refresh recency by moving to MRU position.
-			d := c.dirty[base+w] || write
-			copy(c.lines[base+1:base+w+1], c.lines[base:base+w])
-			copy(c.dirty[base+1:base+w+1], c.dirty[base:base+w])
-			c.lines[base] = enc
-			c.dirty[base] = d
+	// One pass: shift each scanned way down by one, so when the line
+	// is found (or the scan ends) the MRU slot is free and the order
+	// of the rest is exact.
+	prev := ways[0]
+	if prev&^1 == want {
+		ways[0] = prev | dirty
+		c.stats.Hits++
+		return true, Victim{}
+	}
+	for w := 1; w < len(ways); w++ {
+		cur := ways[w]
+		ways[w] = prev
+		if cur&^1 == want {
+			ways[0] = cur | dirty
 			c.stats.Hits++
 			return true, Victim{}
 		}
+		if cur == 0 {
+			// Invalid ways form the tail: the set had a free way.
+			ways[0] = want | dirty
+			return false, Victim{}
+		}
+		prev = cur
 	}
 
-	// Miss: evict LRU way, install at MRU.
-	last := base + c.ways - 1
-	if c.lines[last] != 0 {
-		victim = Victim{
-			LineAddr: (c.lines[last] - 1) << c.shift,
-			Dirty:    c.dirty[last],
-			Valid:    true,
-		}
-		c.stats.Evictions++
-		if victim.Dirty {
-			c.stats.DirtyEvicts++
-		}
+	// Miss: prev is the LRU way, already shifted out.
+	ways[0] = want | dirty
+	if prev == 0 {
+		return false, Victim{}
 	}
-	copy(c.lines[base+1:base+c.ways], c.lines[base:last])
-	copy(c.dirty[base+1:base+c.ways], c.dirty[base:last])
-	c.lines[base] = enc
-	c.dirty[base] = write
+	c.stats.Evictions++
+	victim = Victim{LineAddr: c.lineAddr(prev, set), Dirty: prev&1 != 0, Valid: true}
+	if victim.Dirty {
+		c.stats.DirtyEvicts++
+	}
 	return false, victim
 }
 
 // Contains reports whether the line holding addr is currently resident.
 // It does not perturb recency and is intended for tests and assertions.
 func (c *Cache) Contains(addr uint64) bool {
-	line := addr >> c.shift
-	set := line % c.sets
-	base := int(set) * c.ways
-	enc := line + 1
-	for w := 0; w < c.ways; w++ {
-		if c.lines[base+w] == enc {
+	set, tag := c.locate(addr >> c.shift)
+	if tag > maxTag {
+		c.outOfSpan(addr)
+	}
+	base, want := int(set)*c.ways, uint32(tag+1)<<1
+	for _, w := range c.words[base : base+c.ways] {
+		if w&^1 == want {
 			return true
 		}
 	}
 	return false
 }
 
-// Flush invalidates the whole cache and returns the dirty lines in an
-// unspecified order so the caller can account for their writebacks.
+// Flush invalidates the whole cache and returns the dirty lines, set
+// by set and MRU→LRU within a set, so the caller can account for their
+// writebacks.
 func (c *Cache) Flush() []uint64 {
 	var dirtyLines []uint64
-	for i, enc := range c.lines {
-		if enc != 0 && c.dirty[i] {
-			dirtyLines = append(dirtyLines, (enc-1)<<c.shift)
+	for i, w := range c.words {
+		if w&1 != 0 {
+			dirtyLines = append(dirtyLines, c.lineAddr(w, uint64(i/c.ways)))
 		}
-		c.lines[i] = 0
-		c.dirty[i] = false
+		c.words[i] = 0
 	}
 	return dirtyLines
 }

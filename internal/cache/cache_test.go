@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -187,4 +190,162 @@ func TestStatsConsistencyProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// refCache is the reference model Cache must match access for access:
+// full line addresses per way, a separate dirty array, and MRU→LRU
+// order kept by copying the set on every access.
+type refCache struct {
+	sets  uint64
+	ways  int
+	lines []uint64 // lineAddr+1 per (set, way); 0 means invalid
+	dirty []bool
+	stats Stats
+}
+
+func newRefCache(cfg Config) *refCache {
+	sets := cfg.Bytes / 64 / cfg.Ways
+	return &refCache{
+		sets:  uint64(sets),
+		ways:  cfg.Ways,
+		lines: make([]uint64, sets*cfg.Ways),
+		dirty: make([]bool, sets*cfg.Ways),
+	}
+}
+
+func (c *refCache) Access(addr uint64, write bool) (hit bool, victim Victim) {
+	line := addr >> 6
+	base := int(line%c.sets) * c.ways
+	enc := line + 1
+	c.stats.Accesses++
+	for w := 0; w < c.ways; w++ {
+		if c.lines[base+w] == enc {
+			d := c.dirty[base+w] || write
+			copy(c.lines[base+1:base+w+1], c.lines[base:base+w])
+			copy(c.dirty[base+1:base+w+1], c.dirty[base:base+w])
+			c.lines[base] = enc
+			c.dirty[base] = d
+			c.stats.Hits++
+			return true, Victim{}
+		}
+	}
+	last := base + c.ways - 1
+	if c.lines[last] != 0 {
+		victim = Victim{LineAddr: (c.lines[last] - 1) << 6, Dirty: c.dirty[last], Valid: true}
+		c.stats.Evictions++
+		if victim.Dirty {
+			c.stats.DirtyEvicts++
+		}
+	}
+	copy(c.lines[base+1:base+c.ways], c.lines[base:last])
+	copy(c.dirty[base+1:base+c.ways], c.dirty[base:last])
+	c.lines[base] = enc
+	c.dirty[base] = write
+	return false, victim
+}
+
+func (c *refCache) Flush() []uint64 {
+	var out []uint64
+	for i, enc := range c.lines {
+		if enc != 0 && c.dirty[i] {
+			out = append(out, (enc-1)<<6)
+		}
+		c.lines[i] = 0
+		c.dirty[i] = false
+	}
+	return out
+}
+
+// TestMatchesReferenceModel drives Cache and refCache with the same
+// seeded read/write streams and requires identical hits, victims,
+// statistics and flush output on power-of-two, non-power-of-two and
+// fully associative geometries.
+func TestMatchesReferenceModel(t *testing.T) {
+	const span = 2 * 66 << 30 // the platform's two 66 GB nodes
+	geoms := []Config{
+		{Name: "L1 64x8", Bytes: 32 << 10, Ways: 8, SpanBytes: span},
+		{Name: "L3 16384x20", Bytes: 20 << 20, Ways: 20, SpanBytes: span},
+		{Name: "L3 3MB 24576x2", Bytes: 3 << 20, Ways: 2, SpanBytes: span},
+		// One set: the tag is the whole line number, so the span must
+		// stay under 2^31 lines.
+		{Name: "fully associative", Bytes: 32 * 64, Ways: 32, SpanBytes: 64 << 30},
+	}
+	for _, cfg := range geoms {
+		span := cfg.SpanBytes
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", cfg.Name, seed), func(t *testing.T) {
+				got, want := New(cfg), newRefCache(cfg)
+				rng := rand.New(rand.NewSource(seed))
+				// A few regions anywhere in the span, each half the
+				// cache: reuse within a region hits, and the regions
+				// together overflow it. Line addresses near the top
+				// of the span exercise the widest tags.
+				region := uint64(cfg.Bytes / 2)
+				bases := []uint64{0, span - region}
+				for len(bases) < 6 {
+					bases = append(bases, uint64(rng.Int63n(int64(span-region)))&^63)
+				}
+				n := 4 * cfg.Bytes / 64
+				for round := 0; round < 2; round++ {
+					for i := 0; i < n; i++ {
+						addr := bases[rng.Intn(len(bases))] + uint64(rng.Int63n(int64(region)))
+						write := rng.Intn(3) == 0
+						h1, v1 := got.Access(addr, write)
+						h2, v2 := want.Access(addr, write)
+						if h1 != h2 || v1 != v2 {
+							t.Fatalf("access %d (%#x, write=%v): got (%v, %+v), want (%v, %+v)", i, addr, write, h1, v1, h2, v2)
+						}
+					}
+					if got.Stats() != want.stats {
+						t.Fatalf("stats = %+v, want %+v", got.Stats(), want.stats)
+					}
+					if f1, f2 := got.Flush(), want.Flush(); !reflect.DeepEqual(f1, f2) {
+						t.Fatalf("flush returned %d lines, want %d in the same order", len(f1), len(f2))
+					}
+				}
+				if want.stats.Hits == 0 || want.stats.DirtyEvicts == 0 {
+					t.Errorf("stream too weak: %+v", want.stats)
+				}
+			})
+		}
+	}
+}
+
+// TestSpanOverflowPanics: a span whose line tags cannot fit a 32-bit
+// way word is a platform description bug, caught at construction.
+func TestSpanOverflowPanics(t *testing.T) {
+	full := Config{Name: "fa", Bytes: 16 * 64, Ways: 16} // one set: the tag is the line number
+	fits := full
+	fits.SpanBytes = (maxTag + 1) << 6
+	New(fits)
+	// The platform's caches over its 132 GB span fit.
+	for _, cfg := range []Config{
+		{Name: "L1D", Bytes: 32 << 10, Ways: 8},
+		{Name: "L3", Bytes: 20 << 20, Ways: 20},
+		{Name: "L3-3MB", Bytes: 3 << 20, Ways: 2},
+	} {
+		cfg.SpanBytes = 2 * 66 << 30
+		New(cfg)
+	}
+	for _, span := range []uint64{fits.SpanBytes + 64, 2 * 66 << 30} {
+		over := full
+		over.SpanBytes = span
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New with a %d-byte span should panic", span)
+				}
+			}()
+			New(over)
+		}()
+	}
+	// An address past what the way word holds must not alias a
+	// resident line.
+	c := New(full)
+	defer func() {
+		if recover() == nil {
+			t.Error("Access past the 32-bit way word should panic")
+		}
+	}()
+	c.Access((maxTag+1)<<6, true)
 }

@@ -138,19 +138,26 @@ func (o *Object) Marked(epoch uint32) bool { return o.mark == epoch }
 // SetMark records the mark epoch.
 func (o *Object) SetMark(epoch uint32) { o.mark = epoch }
 
-// Table is an object table: a dense slice of records with a free list
-// of recycled slots. IDs are slot indices + 1 so that 0 stays nil.
-// Tables are not safe for concurrent use.
+// chunkBits sizes the object table's chunks: 4,096 records each.
+const (
+	chunkBits = 12
+	chunkLen  = 1 << chunkBits
+)
+
+// Table is an object table: records in fixed-size chunks that are
+// never moved or regrown, with a free list of recycled slots. IDs are
+// slot indices + 1 so that 0 stays nil, and a pointer returned by Get
+// stays valid across later Allocs. Tables are not safe for concurrent
+// use.
 type Table struct {
-	objs []Object
-	free []ObjID
-	live int
+	chunks []*[chunkLen]Object
+	n      int // slots ever allocated
+	free   []ObjID
+	live   int
 }
 
 // NewTable returns an empty table.
-func NewTable() *Table {
-	return &Table{objs: make([]Object, 0, 1024)}
-}
+func NewTable() *Table { return &Table{} }
 
 // Alloc creates a record and returns its ID. The record starts with
 // the given placement and nrefs empty reference slots.
@@ -160,10 +167,13 @@ func (t *Table) Alloc(addr uint64, size uint32, space SpaceID, nrefs int) ObjID 
 		id = t.free[n-1]
 		t.free = t.free[:n-1]
 	} else {
-		t.objs = append(t.objs, Object{})
-		id = ObjID(len(t.objs))
+		if t.n == len(t.chunks)*chunkLen {
+			t.chunks = append(t.chunks, new([chunkLen]Object))
+		}
+		t.n++
+		id = ObjID(t.n)
 	}
-	o := &t.objs[id-1]
+	o := t.slot(id)
 	*o = Object{Addr: addr, Size: size, Space: space, nref: uint16(nrefs)}
 	if nrefs > inlineRefs {
 		o.ext = make([]ObjID, nrefs-inlineRefs)
@@ -172,14 +182,20 @@ func (t *Table) Alloc(addr uint64, size uint32, space SpaceID, nrefs int) ObjID 
 	return id
 }
 
+// slot returns the record of an in-range id.
+func (t *Table) slot(id ObjID) *Object {
+	i := int(id) - 1
+	return &t.chunks[i>>chunkBits][i&(chunkLen-1)]
+}
+
 // Get returns the record for id. It panics on nil or out-of-range IDs:
 // a bad ID is a runtime bug, the managed equivalent of a corrupted
 // reference.
 func (t *Table) Get(id ObjID) *Object {
-	if id == Nil || int(id) > len(t.objs) {
+	if id == Nil || int(id) > t.n {
 		panic(fmt.Sprintf("objmodel: invalid object id %d", id))
 	}
-	return &t.objs[id-1]
+	return t.slot(id)
 }
 
 // Free releases the record for reuse.
@@ -193,5 +209,6 @@ func (t *Table) Free(id ObjID) {
 // Live reports the number of live records.
 func (t *Table) Live() int { return t.live }
 
-// Cap reports the table capacity (for diagnostics).
-func (t *Table) Cap() int { return len(t.objs) }
+// Cap reports the number of slots ever allocated, live or free (for
+// diagnostics).
+func (t *Table) Cap() int { return t.n }

@@ -163,3 +163,29 @@ func TestRefsRoundtripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGetStableAcrossGrowth: a record pointer survives the table
+// growing past several chunks, and IDs past the last allocated slot
+// still panic even where the current chunk has room.
+func TestGetStableAcrossGrowth(t *testing.T) {
+	tb := NewTable()
+	first := tb.Alloc(0x1000, 64, SpaceNursery, 0)
+	o := tb.Get(first)
+	var last ObjID
+	for i := 0; i < 3*chunkLen; i++ {
+		last = tb.Alloc(uint64(i)*64, 32, SpaceNursery, 1)
+	}
+	if int(last) != 3*chunkLen+1 || tb.Cap() != int(last) {
+		t.Fatalf("last id %d, Cap %d; want dense ids up to %d", last, tb.Cap(), 3*chunkLen+1)
+	}
+	o.Addr = 0x2000
+	if tb.Get(first) != o || tb.Get(first).Addr != 0x2000 {
+		t.Error("record pointer moved when the table grew")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Get past the last allocated slot should panic")
+		}
+	}()
+	tb.Get(last + 1)
+}
