@@ -32,17 +32,12 @@ type Config struct {
 	Bytes    int // total capacity
 	Ways     int // associativity
 	LineSize int // bytes per line; 64 everywhere in this platform
-	// SpanBytes bounds the physical addresses the cache is asked to
-	// hold: every address must lie in [0, SpanBytes). It sizes the
-	// packed tag word; 0 means a 4 GiB span.
-	SpanBytes uint64
 }
 
-// defaultSpan is the physical span assumed when Config.SpanBytes is 0.
-const defaultSpan = 1 << 32
-
 // maxTag is the largest tag a way word holds: (maxTag+1)<<1 | 1 is
-// the largest uint32.
+// the largest uint32. Access panics on an address with a wider tag
+// rather than let it alias a resident line; with 64-byte lines and the
+// platform's 64-set L1, that is an address near 8 TiB.
 const maxTag = 1<<31 - 2
 
 // Stats are cumulative access statistics for one cache.
@@ -73,9 +68,8 @@ type Cache struct {
 }
 
 // New returns a cache for the configuration. It panics on a geometry
-// that cannot form whole sets, or whose tags for the configured span
-// would overflow a 32-bit way word, since either is a programming
-// error in the platform description, not a runtime condition.
+// that cannot form whole sets, since that is a programming error in
+// the platform description, not a runtime condition.
 func New(cfg Config) *Cache {
 	if cfg.LineSize == 0 {
 		cfg.LineSize = 64
@@ -107,12 +101,6 @@ func New(cfg Config) *Cache {
 		c.setBits = uint(bits.TrailingZeros64(c.sets))
 		c.mask = c.sets - 1
 	}
-	if c.cfg.SpanBytes == 0 {
-		c.cfg.SpanBytes = defaultSpan
-	}
-	if _, tag := c.locate((c.cfg.SpanBytes - 1) >> shift); tag > maxTag {
-		panic(fmt.Sprintf("cache %s: a %d-byte span needs tag %d, past the 32-bit way word", cfg.Name, c.cfg.SpanBytes, tag))
-	}
 	return c
 }
 
@@ -134,12 +122,12 @@ func (c *Cache) locate(line uint64) (set, tag uint64) {
 	return line - tag*c.sets, tag
 }
 
-// outOfSpan panics for an address whose tag does not fit a way word.
+// tagOverflow panics for an address whose tag does not fit a way word.
 // It is kept out of line, off Access's hot path.
 //
 //go:noinline
-func (c *Cache) outOfSpan(addr uint64) {
-	panic(fmt.Sprintf("cache %s: address %#x outside the %d-byte span", c.cfg.Name, addr, c.cfg.SpanBytes))
+func (c *Cache) tagOverflow(addr uint64) {
+	panic(fmt.Sprintf("cache %s: address %#x has a tag past the 32-bit way word", c.cfg.Name, addr))
 }
 
 // lineAddr rebuilds the address of the line a valid way word holds in
@@ -161,7 +149,7 @@ func (c *Cache) lineAddr(word uint32, set uint64) uint64 {
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim) {
 	set, tag := c.locate(addr >> c.shift)
 	if tag > maxTag {
-		c.outOfSpan(addr)
+		c.tagOverflow(addr)
 	}
 	base := int(set) * c.ways
 	ways, want := c.words[base:base+c.ways], uint32(tag+1)<<1
@@ -214,7 +202,7 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim) {
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.locate(addr >> c.shift)
 	if tag > maxTag {
-		c.outOfSpan(addr)
+		c.tagOverflow(addr)
 	}
 	base, want := int(set)*c.ways, uint32(tag+1)<<1
 	for _, w := range c.words[base : base+c.ways] {

@@ -261,17 +261,20 @@ func (c *refCache) Flush() []uint64 {
 // statistics and flush output on power-of-two, non-power-of-two and
 // fully associative geometries.
 func TestMatchesReferenceModel(t *testing.T) {
-	const span = 2 * 66 << 30 // the platform's two 66 GB nodes
-	geoms := []Config{
-		{Name: "L1 64x8", Bytes: 32 << 10, Ways: 8, SpanBytes: span},
-		{Name: "L3 16384x20", Bytes: 20 << 20, Ways: 20, SpanBytes: span},
-		{Name: "L3 3MB 24576x2", Bytes: 3 << 20, Ways: 2, SpanBytes: span},
+	const platform = 2 * 66 << 30 // the platform's two 66 GB nodes
+	geoms := []struct {
+		cfg  Config
+		span uint64 // addresses lie in [0, span)
+	}{
+		{Config{Name: "L1 64x8", Bytes: 32 << 10, Ways: 8}, platform},
+		{Config{Name: "L3 16384x20", Bytes: 20 << 20, Ways: 20}, platform},
+		{Config{Name: "L3 3MB 24576x2", Bytes: 3 << 20, Ways: 2}, platform},
 		// One set: the tag is the whole line number, so the span must
 		// stay under 2^31 lines.
-		{Name: "fully associative", Bytes: 32 * 64, Ways: 32, SpanBytes: 64 << 30},
+		{Config{Name: "fully associative", Bytes: 32 * 64, Ways: 32}, 64 << 30},
 	}
-	for _, cfg := range geoms {
-		span := cfg.SpanBytes
+	for _, g := range geoms {
+		cfg, span := g.cfg, g.span
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", cfg.Name, seed), func(t *testing.T) {
 				got, want := New(cfg), newRefCache(cfg)
@@ -311,37 +314,12 @@ func TestMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// TestSpanOverflowPanics: a span whose line tags cannot fit a 32-bit
-// way word is a platform description bug, caught at construction.
-func TestSpanOverflowPanics(t *testing.T) {
-	full := Config{Name: "fa", Bytes: 16 * 64, Ways: 16} // one set: the tag is the line number
-	fits := full
-	fits.SpanBytes = (maxTag + 1) << 6
-	New(fits)
-	// The platform's caches over its 132 GB span fit.
-	for _, cfg := range []Config{
-		{Name: "L1D", Bytes: 32 << 10, Ways: 8},
-		{Name: "L3", Bytes: 20 << 20, Ways: 20},
-		{Name: "L3-3MB", Bytes: 3 << 20, Ways: 2},
-	} {
-		cfg.SpanBytes = 2 * 66 << 30
-		New(cfg)
-	}
-	for _, span := range []uint64{fits.SpanBytes + 64, 2 * 66 << 30} {
-		over := full
-		over.SpanBytes = span
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("New with a %d-byte span should panic", span)
-				}
-			}()
-			New(over)
-		}()
-	}
-	// An address past what the way word holds must not alias a
-	// resident line.
-	c := New(full)
+// TestTagOverflowPanics: an address whose tag cannot fit a 32-bit way
+// word must not alias a resident line.
+func TestTagOverflowPanics(t *testing.T) {
+	// One set, so the tag is the whole line number.
+	c := New(Config{Name: "fa", Bytes: 16 * 64, Ways: 16})
+	c.Access(maxTag<<6, true) // the widest tag that fits
 	defer func() {
 		if recover() == nil {
 			t.Error("Access past the 32-bit way word should panic")

@@ -127,10 +127,6 @@ func New(cfg Config) *Machine {
 		panic("machine: frequency must be positive")
 	}
 	m := &Machine{cfg: cfg, smtLoad: make([]int, cfg.Sockets)}
-	// Every cache may hold any physical address on the machine.
-	span := uint64(cfg.Sockets) * cfg.NodeBytes
-	l1, l2, l3 := cfg.L1, cfg.L2, cfg.L3
-	l1.SpanBytes, l2.SpanBytes, l3.SpanBytes = span, span, span
 	for s := 0; s < cfg.Sockets; s++ {
 		kind := memdev.DRAM
 		if s > 0 {
@@ -143,11 +139,11 @@ func New(cfg Config) *Machine {
 			TrackWindow:      cfg.TrackWindow,
 			TrackWindowReads: cfg.TrackWindowReads,
 		}))
-		sk := socket{l3: cache.New(l3)}
+		sk := socket{l3: cache.New(cfg.L3)}
 		for c := 0; c < cfg.CoresPerSocket; c++ {
 			sk.cores = append(sk.cores, core{
-				l1: cache.New(l1),
-				l2: cache.New(l2),
+				l1: cache.New(cfg.L1),
+				l2: cache.New(cfg.L2),
 			})
 		}
 		m.sockets = append(m.sockets, sk)

@@ -240,3 +240,21 @@ func TestNoWriteLostProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCachesHoldWholeSpan: every cache of the default platform holds
+// the top line of its physical span in a 32-bit way word, and rebuilds
+// that line's address exactly on flush.
+func TestCachesHoldWholeSpan(t *testing.T) {
+	cfg := DefaultConfig()
+	top := uint64(cfg.Sockets)*cfg.NodeBytes - 64
+	for _, cc := range []cache.Config{cfg.L1, cfg.L2, cfg.L3} {
+		c := cache.New(cc)
+		c.Access(top, true)
+		if !c.Contains(top) {
+			t.Errorf("%s: top line %#x not resident", cc.Name, top)
+		}
+		if got := c.Flush(); len(got) != 1 || got[0] != top {
+			t.Errorf("%s: flush = %#x, want [%#x]", cc.Name, got, top)
+		}
+	}
+}
